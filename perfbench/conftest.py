@@ -1,0 +1,6 @@
+"""Let ``python3 -m pytest perfbench`` import the engine from ``src/``."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
